@@ -164,7 +164,7 @@ impl BaselineServer {
             return usize::MAX;
         }
         if self.durability.as_ref().is_some_and(|&d| d > 0) {
-            // Cold-tier arm: mirrors the engine's `has_cold()` gate in
+            // Cold-tier arm: mirrors the engine's cold-run gate in
             // front of the cold scan (always false on memory-only).
             return usize::MAX;
         }

@@ -1,8 +1,11 @@
 //! Counting completion latch.
 //!
 //! Coordinating callers spin-help on the pool while the latch is open and
-//! park briefly when no work is available; the final decrement notifies
-//! under the lock so a parked waiter cannot miss it.
+//! park briefly when no work is available. Every decrement happens under
+//! the lock, and a waiter takes the lock once after reading zero
+//! ([`CountLatch::sync`]): the latch usually lives in the waiter's stack
+//! frame, so the last job's touch of it must end before the waiter may
+//! return and free it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, PoisonError};
@@ -35,12 +38,21 @@ impl CountLatch {
 
     /// Marks one job done. The `Release` pairs with the waiter's
     /// `Acquire` load so the job's writes are visible once the latch
-    /// reads zero.
+    /// reads zero. The decrement and the notification both happen under
+    /// the lock, so a waiter that reads zero and then passes
+    /// [`Self::sync`] knows this call no longer touches the latch.
     pub(crate) fn set_one(&self) {
+        let _guard = self.lock.lock();
         if self.count.fetch_sub(1, Ordering::Release) == 1 {
-            let _guard = self.lock.lock();
             self.cvar.notify_all();
         }
+    }
+
+    /// Waits out the critical section of the `set_one` that brought the
+    /// count to zero. Call once after [`Self::is_set`] returns true and
+    /// before the latch may be freed.
+    pub(crate) fn sync(&self) {
+        drop(self.lock.lock());
     }
 
     /// Whether every job has finished.

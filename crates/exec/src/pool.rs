@@ -219,6 +219,9 @@ impl Pool {
                 None => latch.park(PARK_INTERVAL),
             }
         }
+        // The job that set the latch may still be inside `set_one`; the
+        // caller frees the latch as soon as this returns.
+        latch.sync();
     }
 
     fn worker_main(self: Arc<Pool>, idx: usize) {

@@ -144,3 +144,23 @@ fn serial_executor_records_no_queue_waits() {
     exec.par_map(&items, |&x| x + 1);
     assert!(reg.get("swag_exec_queue_wait_micros").is_none());
 }
+
+/// Hundreds of thousands of tiny fork-joins on a 2-thread pool. A
+/// coordinator frees its stack-allocated job (latch included) as soon as
+/// the latch reads zero, and the next call reuses that stack slot, so a
+/// worker that still touches the latch after its final decrement writes
+/// into a dead frame — seen as a crash, a hang or a wrong sum.
+#[test]
+fn tiny_fork_joins_never_touch_a_released_latch() {
+    let exec = Executor::new(ExecConfig::with_threads(2));
+    let items = [1u64, 2, 3];
+    let rounds = 150_000u64;
+    let mut sum = 0u64;
+    for i in 0..rounds {
+        sum += exec.par_map(&items, |&x| x + i).iter().sum::<u64>();
+        let (a, b) = exec.join(|| i, || 1);
+        sum += a + b;
+    }
+    // Per round: (6 + 3i) from par_map, (i + 1) from join.
+    assert_eq!(sum, 7 * rounds + 4 * (rounds * (rounds - 1) / 2));
+}

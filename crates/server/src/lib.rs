@@ -36,8 +36,8 @@ pub use engine::admission::{AdmissionConfig, ShedReason};
 pub use engine::cache::CacheConfig;
 pub use engine::fanout::{FanoutDecision, FanoutMode};
 pub use engine::forensics::{
-    result_digest, AnalyzeReport, AnalyzedQuery, CacheOutcome, ColdScanMeasure, EventLogConfig,
-    QueryEvent, QueryEventLog, QueryOutcome, QUERY_EVENT_WORDS,
+    result_digest, AnalyzeReport, AnalyzedQuery, CacheOutcome, EventLogConfig, QueryEvent,
+    QueryEventLog, QueryOutcome, QUERY_EVENT_WORDS,
 };
 pub use engine::plan::{FilterChain, QueryPlan};
 pub use index::{FovIndex, IndexKind};
